@@ -45,11 +45,9 @@ func run() error {
 		skipRound    = flag.Bool("skip-rounding", false, "compute LP bounds only (no tightness certificate)")
 		parallel     = flag.Int("parallel", 0, "concurrent bound solves (0 = GOMAXPROCS, 1 = serial)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
-		warmStart    = flag.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of a class (false = every cell solves cold)")
 		verbose      = flag.Bool("v", false, "print per-bound progress (incl. solver stats) to stderr")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
-	lpFlags := cli.RegisterLPFlags(flag.CommandLine)
 	flag.Parse()
 	cli.ServePprof(*pprofAddr, func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "bounds: "+format+"\n", args...)
@@ -101,12 +99,8 @@ func run() error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		Ctx:          ctx,
-		ColdStart:    !*warmStart,
 	}
 	opts.Bound.SkipRounding = *skipRound
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
-	}
 	var fig *experiments.Figure
 	if scnClasses != nil {
 		// Empty title = the Sweep default, which is also what placementd

@@ -31,6 +31,7 @@ import (
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
 	"wideplace/internal/heuristics"
+	"wideplace/internal/lp"
 	"wideplace/internal/sim"
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
@@ -55,8 +56,8 @@ func run(args []string, stdout io.Writer) error {
 		cacheFlag    = fs.Int("cache", 4, "per-node cache capacity of the LRU/LFU baselines under -sim")
 		benchFlag    = fs.String("bench", "", "append the run to this BENCH_controller.json history")
 		compareFlag  = fs.Bool("compare", false, "diff the last two records of -bench and exit (non-zero on regression)")
+		presolve     = fs.Bool("presolve", true, "reduce each LP before solving (false leaves bounds and the warm chain unchanged and only slows the cold baseline; BENCH_controller.json was recorded with false)")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,8 +90,8 @@ func run(args []string, stdout io.Writer) error {
 		Cost: core.DefaultCost(),
 		Goal: core.QoS(*tqos, sys.Spec.Tlat),
 	}
-	if err := lpFlags.Apply(&cfg.LP); err != nil {
-		return err
+	if !*presolve {
+		cfg.LP.Presolve = lp.PresolveOff
 	}
 	lookahead := !*reactive
 	warm, err := controller.Replay(cfg, counts, lookahead)
@@ -253,11 +254,11 @@ type benchRecord struct {
 	ColdResolveWallNs     int64   `json:"coldResolveWallNs"`
 	ResolveIterSpeedup    float64 `json:"resolveIterSpeedup"`
 	ResolveWallSpeedup    float64 `json:"resolveWallSpeedup"`
-	BasisRepairs   int     `json:"basisRepairs"`
-	ChangedCoefs   int     `json:"changedCoefs"`
-	Adds           int     `json:"adds"`
-	Drops          int     `json:"drops"`
-	AvgStaleness   float64 `json:"avgStaleness"`
+	BasisRepairs          int     `json:"basisRepairs"`
+	ChangedCoefs          int     `json:"changedCoefs"`
+	Adds                  int     `json:"adds"`
+	Drops                 int     `json:"drops"`
+	AvgStaleness          float64 `json:"avgStaleness"`
 }
 
 // compareRecords gates on the BENCH_controller.json history: the latest

@@ -28,7 +28,6 @@ import (
 	"wideplace/internal/cli"
 	"wideplace/internal/core"
 	"wideplace/internal/exact"
-	"wideplace/internal/lp"
 	"wideplace/internal/scenario"
 )
 
@@ -52,16 +51,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		bruteFlag    = fs.Bool("brute", false, "also cross-check the DP against brute-force enumeration (small trees only)")
 		verbose      = fs.Bool("v", false, "print per-cell solver progress to stderr")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *scenarioFlag == "" {
 		return errors.New("-scenario is required (try tree-kary-63 or tree-random-100)")
-	}
-	var lpOpts lp.Options
-	if err := lpFlags.Apply(&lpOpts); err != nil {
-		return err
 	}
 	res, err := cli.ResolveScenario(*scenarioFlag, "exact", cli.ScenarioOptions{Nodes: *nodesFlag}, stderr)
 	if err != nil {
@@ -98,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					failures = append(failures, fmt.Sprintf("%s: DP optimum %g != brute optimum %g", cell, sol.Cost, brute.Cost))
 				}
 			}
-			b, err := inst.LowerBound(class, core.BoundOptions{LP: lpOpts})
+			b, err := inst.LowerBound(class, core.BoundOptions{})
 			if err != nil {
 				return fmt.Errorf("%s: lower bound: %w", cell, err)
 			}

@@ -47,7 +47,6 @@ func run(args []string, stdout io.Writer) error {
 		skipRound    = fs.Bool("skip-rounding", false, "LP bound only")
 		runLength    = fs.Bool("runlength", false, "enable the run-length rounding optimization")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,9 +113,6 @@ func run(args []string, stdout io.Writer) error {
 	bopts := core.BoundOptions{
 		SkipRounding: *skipRound,
 		Round:        core.RoundOptions{RunLength: *runLength},
-	}
-	if err := lpFlags.Apply(&bopts.LP); err != nil {
-		return err
 	}
 	b, err := inst.LowerBound(class, bopts)
 	if err != nil {

@@ -66,7 +66,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		parallel     = fs.Int("parallel", 0, "per-job sweep fan-out (0 = GOMAXPROCS)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "default wall-clock cap per LP solve (0 = unlimited)")
 		checkEvery   = fs.Int("check-every", 0, "simplex cancellation poll interval in iterations (0 = solver default)")
-		warmStart    = fs.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of a class within a job (false = every cell solves cold)")
 		maxJobs      = fs.Int("max-jobs", 1024, "retained finished jobs")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "grace period for in-flight jobs on shutdown")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -83,16 +82,11 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		advertise = fs.String("advertise", "", "worker: URL the coordinator should dispatch to (default http://<listen-addr>)")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "worker: registration heartbeat interval")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	presolveMode, rule, backend, err := lpFlags.Resolve()
-	if err != nil {
-		return err
 	}
 	switch *mode {
 	case "standalone", "coordinator", "worker":
@@ -119,10 +113,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			Concurrency:  *workers,
 			SolveTimeout: *solveTimeout,
 			CheckEvery:   *checkEvery,
-			ColdStart:    !*warmStart,
-			Presolve:     presolveMode,
-			Pricing:      rule,
-			Factor:       backend,
 		})
 		if *coordURL != "" {
 			adv := *advertise
@@ -140,10 +130,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		CheckEvery:   *checkEvery,
-		ColdStart:    !*warmStart,
-		Presolve:     presolveMode,
-		Pricing:      rule,
-		Factor:       backend,
 		MaxJobs:      *maxJobs,
 	}
 	if *mode == "coordinator" {
@@ -176,12 +162,31 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	return serve(ctx, ln, srv.Handler(), *drainTimeout, logger, srv)
 }
 
+// Connection timeouts of the HTTP front end. Only the request header
+// read and keep-alive idling are bounded: request bodies, job streams and
+// shard solves legitimately run for minutes. The idle bound outlasts the
+// 90 s idle-connection timeout of Go's default client transport, so
+// clients, not the server, retire idle connections.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps handler in the front end's http.Server.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serve runs the HTTP front end until ctx is canceled, then drains:
 // stop accepting connections, let in-flight work finish within the grace
 // period, abort past it. srv is nil in worker mode (no job queue to
 // drain; in-flight shard solves end with their requests).
 func serve(ctx context.Context, ln net.Listener, handler http.Handler, drainTimeout time.Duration, logger *log.Logger, srv *server.Server) error {
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 	logger.Printf("listening on %s", ln.Addr())
 
 	serveErr := make(chan error, 1)

@@ -231,3 +231,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 		})
 	}
 }
+
+// TestHTTPServerTimeouts: the front end bounds header reads and keep-alive
+// idling, so slow or abandoned clients cannot pin connections forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not installed")
+	}
+}

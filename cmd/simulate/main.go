@@ -30,10 +30,8 @@ func run(args []string, stdout io.Writer) error {
 		scenarioFlag = fs.String("scenario", "", "registered scenario name or spec file (overrides -workload/-scale)")
 		parallel     = fs.Int("parallel", 0, "concurrent cells (0 = GOMAXPROCS, 1 = serial)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
-		warmStart    = fs.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of the bound column (false = every cell solves cold)")
 		verbose      = fs.Bool("v", false, "print per-point progress to stderr")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,10 +58,6 @@ func run(args []string, stdout io.Writer) error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		Ctx:          ctx,
-		ColdStart:    !*warmStart,
-	}
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
 	}
 	res, err := experiments.Figure2(sys, opts, cli.Progress(*verbose, os.Stderr))
 	if err != nil {

@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		xcheckExact = fs.Bool("xcheck-exact", true, "on tree rungs, verify LP bound <= exact DP optimum <= certificate for every supported cell")
 		compareFlag = fs.Bool("compare", false, "diff per-size solver counters between the last two records of -bench and exit")
 	)
-	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -144,9 +143,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Ctx:          ctx,
 	}
 	opts.Bound.SkipRounding = !*rounding
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
-	}
 
 	record := scaleRecord{
 		GoVersion:  runtime.Version(),
@@ -181,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			size.Solver = solverCounters(agg)
 			var footers []string
 			if *xcheckAbove > 0 && n >= *xcheckAbove {
-				xc, err := lagrangianXCheck(res.System, fig, opts.Bound.LP)
+				xc, err := lagrangianXCheck(res.System, fig)
 				if err != nil {
 					return fmt.Errorf("%s at %d nodes: Lagrangian cross-check: %w", base.Name, n, err)
 				}
@@ -200,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				}
 			}
 			if *xcheckExact {
-				exc, err := exactXCheck(res, opts.Bound.LP)
+				exc, err := exactXCheck(res)
 				if err != nil {
 					return fmt.Errorf("%s at %d nodes: exact cross-check: %w", base.Name, n, err)
 				}
@@ -394,7 +390,7 @@ type scaleRecord struct {
 // not as an error, so the rung's artifacts still get written; errors are
 // reserved for the check itself failing to run. Returns nil (no check)
 // when the sweep has no feasible general cell.
-func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts lp.Options) (*scaleXCheck, error) {
+func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure) (*scaleXCheck, error) {
 	var pt *experiments.Point
 	for si := range fig.Series {
 		s := &fig.Series[si]
@@ -418,7 +414,7 @@ func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts l
 	}
 	// Few subgradient iterations: every iterate is already a valid lower
 	// bound, and the check needs validity, not tightness.
-	b, err := inst.LagrangianBound(core.General(), core.LagrangianOptions{MaxIters: 60, LP: lpOpts})
+	b, err := inst.LagrangianBound(core.General(), core.LagrangianOptions{MaxIters: 60})
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +434,7 @@ func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts l
 // class shape) are skipped — the oracle only speaks where it is exact.
 // Violations land in each record's Verdict; errors mean the check could
 // not run.
-func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]scaleExactXCheck, error) {
+func exactXCheck(res *scenario.Result) ([]scaleExactXCheck, error) {
 	if _, err := res.System.Topo.TreeParents(); err != nil {
 		return nil, nil
 	}
@@ -459,7 +455,7 @@ func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]scaleExactXCheck, e
 			}
 			// Rounding is forced on here regardless of -rounding: the
 			// certificate is the upper half of the oracle chain.
-			b, err := inst.LowerBound(class, core.BoundOptions{LP: lpOpts})
+			b, err := inst.LowerBound(class, core.BoundOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("%s at qos=%g: lower bound: %w", class.Name, tqos, err)
 			}

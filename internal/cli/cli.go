@@ -1,11 +1,10 @@
 // Package cli holds small helpers shared by the command-line binaries:
-// signal-driven cancellation, the common progress writer, the solver
-// configuration flags and the opt-in pprof listener.
+// scenario resolution, signal-driven cancellation, the common progress
+// writer and the opt-in pprof listener.
 package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"syscall"
 
 	"wideplace/internal/experiments"
-	"wideplace/internal/lp"
 	"wideplace/internal/scenario"
 )
 
@@ -94,55 +92,6 @@ func Progress(verbose bool, w io.Writer) experiments.Progress {
 	return func(format string, args ...interface{}) {
 		fmt.Fprintf(w, format+"\n", args...)
 	}
-}
-
-// LPFlags holds the solver-configuration flags shared by every
-// bound-computing binary; RegisterLPFlags wires them onto a flag set and
-// Resolve/Apply turn the parsed values into lp.Options fields. All three
-// flags only change solver effort, never bounds, so every binary exposes
-// them with identical semantics.
-type LPFlags struct {
-	presolve *bool
-	pricing  *string
-	factor   *string
-}
-
-// RegisterLPFlags registers -presolve, -pricing and -factor on fs.
-func RegisterLPFlags(fs *flag.FlagSet) *LPFlags {
-	return &LPFlags{
-		presolve: fs.Bool("presolve", true, "reduce each LP before solving (false = solve the full model; bounds are identical either way)"),
-		pricing:  fs.String("pricing", "devex", "simplex pricing rule: devex or dantzig"),
-		factor:   fs.String("factor", "auto", "basis factorization backend: auto, dense or sparse"),
-	}
-}
-
-// Resolve validates the parsed flag values.
-func (f *LPFlags) Resolve() (lp.PresolveMode, lp.PricingRule, lp.FactorBackend, error) {
-	rule, ok := lp.ParsePricingRule(*f.pricing)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("unknown pricing rule %q (want devex or dantzig)", *f.pricing)
-	}
-	backend, ok := lp.ParseFactorBackend(*f.factor)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("unknown factorization backend %q (want auto, dense or sparse)", *f.factor)
-	}
-	mode := lp.PresolveOn
-	if !*f.presolve {
-		mode = lp.PresolveOff
-	}
-	return mode, rule, backend, nil
-}
-
-// Apply validates the parsed flag values and writes them into o.
-func (f *LPFlags) Apply(o *lp.Options) error {
-	mode, rule, backend, err := f.Resolve()
-	if err != nil {
-		return err
-	}
-	o.Presolve = mode
-	o.Pricing = rule
-	o.Factor = backend
-	return nil
 }
 
 // ServePprof starts net/http/pprof on its own listener when addr is

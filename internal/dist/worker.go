@@ -30,15 +30,6 @@ type WorkerConfig struct {
 	// CheckEvery is the simplex cancellation poll interval in iterations
 	// (0 = solver default).
 	CheckEvery int
-	// ColdStart disables warm-start basis chaining inside the column.
-	ColdStart bool
-	// Presolve/Pricing/Factor select the LP configuration, identical in
-	// meaning to the standalone server's fields. Bounds are invariant to
-	// all three; keep them at defaults fleet-wide so effort counters
-	// aggregate consistently.
-	Presolve lp.PresolveMode
-	Pricing  lp.PricingRule
-	Factor   lp.FactorBackend
 }
 
 // Worker solves column shards on demand. It is the dumb half of the
@@ -108,19 +99,16 @@ func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(ColumnResult{Class: shard.Class, Points: points}) //nolint:errcheck // response committed
 }
 
-// solve runs one shard with the worker's solver configuration and records
-// its effort.
+// solve runs one shard as a warm-chained column with the solver's default
+// configuration, the one every binary and the standalone server use, and
+// records its effort.
 func (w *Worker) solve(ctx context.Context, shard *ShardJob) ([]experiments.Point, error) {
 	opts := experiments.Options{
 		Parallel:     1,
 		SolveTimeout: w.cfg.SolveTimeout,
-		ColdStart:    w.cfg.ColdStart,
 		Ctx:          ctx,
 	}
 	opts.Bound.LP.CheckEvery = w.cfg.CheckEvery
-	opts.Bound.LP.Presolve = w.cfg.Presolve
-	opts.Bound.LP.Pricing = w.cfg.Pricing
-	opts.Bound.LP.Factor = w.cfg.Factor
 	points, err := shard.Solve(opts)
 	if err != nil {
 		return nil, err

@@ -11,16 +11,17 @@ import (
 	"wideplace/internal/lp"
 )
 
-// legacyOptions pins a sweep to the engine's pre-presolve configuration:
-// Dantzig partial pricing, no presolve layer, no compiled-problem rebind.
-// The Warm/Cold benchmarks and the SolverCold record run under these pins
-// so their history stays comparable across engine revisions; the default
+// legacyOptions pins a sweep to the engine's pre-presolve solver
+// configuration: Dantzig partial pricing and no presolve layer. The
+// Warm/Cold benchmarks and the SolverCold record run under these pins so
+// their history stays comparable across engine revisions; the default
 // path is measured separately (BenchmarkSweepPresolved, Solver record).
+// A warm legacy sweep still rebinds its compiled model along each column,
+// as every warm sweep does; the cold grid never reuses a model.
 func legacyOptions(cold bool) Options {
 	return Options{
 		Parallel:  1,
 		ColdStart: cold,
-		NoRebind:  true,
 		Bound: core.BoundOptions{
 			// FactorDense: the recorded path predates the sparse-first
 			// crossover; these small bases factored densely then.
@@ -95,9 +96,10 @@ func benchLadderSweep(b *testing.B, opts Options) {
 }
 
 // BenchmarkSweepWarm/Cold isolate the warm-start speedup on the legacy
-// (pre-presolve) path: one serial sweep of the ladder instance with and
-// without basis chaining, both under legacyOptions so the series stays
-// comparable with its recorded history.
+// (pre-presolve) solver path: one serial sweep of the ladder instance with
+// and without basis chaining, both under legacyOptions. Records before the
+// warm sweep began rebinding also rebuilt every cell's model, so Warm's
+// recorded history carries that extra model-construction time.
 func BenchmarkSweepWarm(b *testing.B) { benchLadderSweep(b, legacyOptions(false)) }
 func BenchmarkSweepCold(b *testing.B) { benchLadderSweep(b, legacyOptions(true)) }
 
@@ -116,21 +118,21 @@ type benchSweepEntry struct {
 
 // benchSolver holds a sweep's deterministic solver-effort counters.
 type benchSolver struct {
-	Cells            int   `json:"cells"`
-	Iterations       int   `json:"iterations"`
-	Phase1Iterations int   `json:"phase1Iterations"`
+	Cells            int `json:"cells"`
+	Iterations       int `json:"iterations"`
+	Phase1Iterations int `json:"phase1Iterations"`
 	// InitialFactorizations (one per solve) and Refactorizations
 	// (mid-solve only) were a single conflated counter on records written
 	// before the split; omitempty keeps those records parseable.
-	InitialFactorizations int `json:"initialFactorizations,omitempty"`
-	Refactorizations      int `json:"refactorizations"`
-	DegenerateSteps  int   `json:"degenerateSteps"`
-	BoundFlips       int   `json:"boundFlips"`
-	PricingScans     int64 `json:"pricingScans"`
-	WarmSolves       int   `json:"warmSolves,omitempty"`
-	ColdSolves       int   `json:"coldSolves,omitempty"`
-	WarmIterations   int   `json:"warmIterations,omitempty"`
-	ColdIterations   int   `json:"coldIterations,omitempty"`
+	InitialFactorizations int   `json:"initialFactorizations,omitempty"`
+	Refactorizations      int   `json:"refactorizations"`
+	DegenerateSteps       int   `json:"degenerateSteps"`
+	BoundFlips            int   `json:"boundFlips"`
+	PricingScans          int64 `json:"pricingScans"`
+	WarmSolves            int   `json:"warmSolves,omitempty"`
+	ColdSolves            int   `json:"coldSolves,omitempty"`
+	WarmIterations        int   `json:"warmIterations,omitempty"`
+	ColdIterations        int   `json:"coldIterations,omitempty"`
 	// Presolve/rebind/pricing counters, zero (and omitted) on records
 	// predating the solver-speed layer and on legacy-pinned sweeps.
 	PresolveRowsRemoved int    `json:"presolveRowsRemoved,omitempty"`
@@ -178,8 +180,8 @@ func solverCounters(fig *Figure) benchSolver {
 	return out
 }
 
-// TestLegacyColdCountersMatchRecord pins the legacy (Dantzig, no-presolve,
-// no-rebind) cold path to the counters recorded in BENCH_sweep.json before
+// TestLegacyColdCountersMatchRecord pins the legacy (Dantzig, no-presolve)
+// cold path to the counters recorded in BENCH_sweep.json before
 // the solver-speed layer landed: under those pins the engine must retrace
 // the old path step for step.
 func TestLegacyColdCountersMatchRecord(t *testing.T) {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wideplace/internal/core"
@@ -37,16 +39,6 @@ type Options struct {
 	// cell solves from the crash basis and the grid fans out per cell;
 	// bounds are identical either way, only solver effort differs.
 	ColdStart bool
-	// NoRebind disables compiled-problem reuse along a warm column. By
-	// default each class column compiles its MC-PERF model once and moves
-	// only the QoS rows' right-hand sides between goals
-	// (core.CompiledQoS.Rebind); with NoRebind every cell rebuilds and
-	// recompiles the model from scratch, the pre-rebind behavior. The
-	// compiled model is identical to the fresh build at every attainable
-	// goal, so results match either way; only model-construction work
-	// differs. Irrelevant under ColdStart, whose per-cell grid never
-	// reuses anything.
-	NoRebind bool
 	// ColumnSolver, when non-nil, replaces the local solve of each class
 	// column: the sweep calls it once per class with the full ascending
 	// QoS grid and slots the returned points by grid index, exactly as the
@@ -150,11 +142,28 @@ func (c *instanceCache) get(q float64) (*core.Instance, error) {
 	return e.inst, e.err
 }
 
+// CellPanic is the value a sweep re-panics with, on the goroutine that
+// started it, when one of its cells panicked on a worker goroutine: the
+// original panic value plus the stack of the cell that raised it, which
+// the re-panic would otherwise lose.
+type CellPanic struct {
+	Value interface{}
+	Stack []byte
+}
+
+// String reports the original value and stack, so an unrecovered re-panic
+// prints the same trace the cell's own panic would have.
+func (p *CellPanic) String() string {
+	return fmt.Sprintf("%v\n\ncell goroutine stack:\n%s", p.Value, p.Stack)
+}
+
 // runCells executes fn for every index in [0, n) on a bounded worker
 // pool. fn writes its result into its own pre-allocated slot, which keeps
 // result ordering deterministic regardless of completion order. The first
 // error cancels the remaining cells; its cause is returned (later
-// cancellation-induced errors are dropped).
+// cancellation-induced errors are dropped). A panicking cell also cancels
+// the rest; once every worker has stopped, runCells re-panics with a
+// *CellPanic on the caller's goroutine, where the caller can recover it.
 func runCells(parent context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -169,11 +178,18 @@ func runCells(parent context.Context, n, workers int, fn func(ctx context.Contex
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		panicked atomic.Pointer[CellPanic]
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &CellPanic{Value: r, Stack: debug.Stack()})
+					cancel()
+				}
+			}()
 			for i := range jobs {
 				if ctx.Err() != nil {
 					return // sweep canceled: drain nothing further
@@ -188,6 +204,9 @@ func runCells(parent context.Context, n, workers int, fn func(ctx context.Contex
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	if firstErr != nil {
 		return firstErr
 	}
@@ -240,12 +259,6 @@ func solveColumn(ctx context.Context, cache *instanceCache, class *core.Class, q
 			err   error
 		)
 		switch {
-		case opts.NoRebind:
-			inst, ierr := cache.get(q)
-			if ierr != nil {
-				return ierr
-			}
-			p, basis, err = boundPoint(inst, class, q, bo)
 		case comp == nil:
 			// No compiled problem yet (first cell, or every goal so far
 			// was unattainable at build time): compile at this goal.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wideplace/internal/core"
@@ -255,4 +257,32 @@ func TestRunCellsDeterministicSlots(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
+}
+
+// TestRunCellsRepanicsOnCaller checks that panicking cells stop the pool
+// and resurface on the caller's goroutine as one *CellPanic carrying the
+// original value and the cell's stack, so a caller can recover it. Every
+// cell from index 2 on panics, so each of the four workers panics at most
+// once and stops: at most 2+4 cells run.
+func TestRunCellsRepanicsOnCaller(t *testing.T) {
+	var ran atomic.Int32
+	defer func() {
+		cp, ok := recover().(*CellPanic)
+		if !ok {
+			t.Fatal("runCells returned without re-panicking with a *CellPanic")
+		}
+		if cp.Value != "cell fault" || !strings.Contains(string(cp.Stack), "TestRunCellsRepanicsOnCaller") {
+			t.Fatalf("CellPanic = %v, want the cell's value and stack", cp)
+		}
+		if n := ran.Load(); n > 6 {
+			t.Fatalf("%d cells ran, want the pool stopped after the panics (at most 6)", n)
+		}
+	}()
+	runCells(context.Background(), 64, 4, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		if i >= 2 {
+			panic("cell fault")
+		}
+		return nil
+	})
 }

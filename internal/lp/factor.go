@@ -86,7 +86,7 @@ const (
 	FactorSparse
 )
 
-// String names the backend as it appears in flags and reports.
+// String names the backend as it appears in reports.
 func (b FactorBackend) String() string {
 	switch b {
 	case FactorDense:
@@ -95,20 +95,6 @@ func (b FactorBackend) String() string {
 		return "sparse"
 	default:
 		return "auto"
-	}
-}
-
-// ParseFactorBackend maps a command-line flag value onto a backend.
-func ParseFactorBackend(s string) (FactorBackend, bool) {
-	switch s {
-	case "", "auto":
-		return FactorAuto, true
-	case "dense":
-		return FactorDense, true
-	case "sparse":
-		return FactorSparse, true
-	default:
-		return FactorAuto, false
 	}
 }
 

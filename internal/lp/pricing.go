@@ -30,20 +30,6 @@ func (r PricingRule) String() string {
 	}
 }
 
-// ParsePricingRule maps a command-line flag value onto a rule.
-func ParsePricingRule(s string) (PricingRule, bool) {
-	switch s {
-	case "", "auto":
-		return PricingAuto, true
-	case "devex":
-		return PricingDevex, true
-	case "dantzig":
-		return PricingDantzig, true
-	default:
-		return PricingAuto, false
-	}
-}
-
 // devexResetLimit caps the devex weights: when any weight outgrows it the
 // reference framework has drifted too far and all weights reset to 1.
 const devexResetLimit = 1e12

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestParsePricingRule(t *testing.T) {
-	cases := []struct {
-		in   string
-		want PricingRule
-		ok   bool
-	}{
-		{"", PricingAuto, true},
-		{"auto", PricingAuto, true},
-		{"devex", PricingDevex, true},
-		{"dantzig", PricingDantzig, true},
-		{"steepest", PricingAuto, false},
-	}
-	for _, c := range cases {
-		got, ok := ParsePricingRule(c.in)
-		if got != c.want || ok != c.ok {
-			t.Errorf("ParsePricingRule(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 // TestPricingRulesAgree solves the same random instances under both
 // pricing rules: the paths differ but the optimum must not.
 func TestPricingRulesAgree(t *testing.T) {

@@ -132,13 +132,37 @@ func jobStream(t *testing.T, ts *httptest.Server, id string) (lines []map[string
 // and a done trailer; an already-finished job streams header + trailer
 // immediately.
 func TestJobStream(t *testing.T) {
+	// The worker holds every shard until the stream below has subscribed:
+	// a job this small could otherwise finish before the stream opens and
+	// stream only its header and trailer.
+	release := make(chan struct{})
+	wh := dist.NewWorker(dist.WorkerConfig{Concurrency: 2}).Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/solve" {
+			<-release
+		}
+		wh.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
 	co := dist.NewCoordinator(dist.CoordinatorConfig{WorkerWait: 10 * time.Second})
-	co.Register(startDistWorker(t).URL)
-	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: co})
+	co.Register(worker.URL)
+	s, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: co})
 
 	const job = `{"spec":{"workload":"web","scale":"small","nodes":5,"objects":5,
 		"requests":400,"horizonMillis":7200000,"qos":[0.9,0.95]},"classes":["general","caching"]}`
 	v, _ := postJob(t, ts, job)
+	j, _ := s.Job(v.ID)
+	go func() {
+		defer close(release)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			j.mu.Lock()
+			subscribed := len(j.subs) > 0
+			j.mu.Unlock()
+			if subscribed {
+				return
+			}
+		}
+	}()
 	lines := jobStream(t, ts, v.ID)
 	if len(lines) < 2 {
 		t.Fatalf("stream held %d lines, want header + trailer at least", len(lines))

@@ -23,6 +23,7 @@ type metrics struct {
 	jobsDone     atomic.Uint64
 	jobsFailed   atomic.Uint64
 	jobsCanceled atomic.Uint64
+	panics       atomic.Uint64
 	duration     histogram
 }
 
@@ -112,6 +113,7 @@ func (m *metrics) write(w io.Writer, g gaugeSet, lpSolves int, lpTotal lp.Stats)
 	p("placementd_jobs_finished_total{state=\"done\"} %d\n", m.jobsDone.Load())
 	p("placementd_jobs_finished_total{state=\"failed\"} %d\n", m.jobsFailed.Load())
 	p("placementd_jobs_finished_total{state=\"canceled\"} %d\n", m.jobsCanceled.Load())
+	counter("placementd_panics_total", "Jobs failed by a recovered panic (stack logged).", m.panics.Load())
 
 	p("# HELP placementd_queue_depth Jobs waiting in the bounded queue.\n# TYPE placementd_queue_depth gauge\nplacementd_queue_depth %d\n", g.queueDepth)
 	p("# HELP placementd_cache_entries Entries in the result cache (finished and in-flight).\n# TYPE placementd_cache_entries gauge\nplacementd_cache_entries %d\n", g.cacheSize)

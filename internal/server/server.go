@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -59,21 +61,6 @@ type Config struct {
 	// iterations (0 = solver default). Cancellation latency of a
 	// running job is one poll interval.
 	CheckEvery int
-	// ColdStart disables warm-start basis chaining inside job sweeps
-	// (see experiments.Options.ColdStart). The default chains each class
-	// column's solves over ascending QoS goals, reusing the previous
-	// basis; results are identical either way.
-	ColdStart bool
-	// Presolve selects the LP presolve mode for job sweeps (default
-	// PresolveAuto = on). Bounds are identical either way; only solver
-	// effort differs.
-	Presolve lp.PresolveMode
-	// Pricing selects the simplex pricing rule for job sweeps (default
-	// PricingAuto = devex).
-	Pricing lp.PricingRule
-	// Factor selects the basis factorization backend for job sweeps
-	// (default FactorAuto = size-based).
-	Factor lp.FactorBackend
 	// MaxJobs bounds retained finished jobs (default 1024); the oldest
 	// finished jobs (and their cached results) are evicted beyond it.
 	MaxJobs int
@@ -259,70 +246,15 @@ func (s *Server) runJob(j *Job) {
 	if !j.setRunning(time.Now()) {
 		return // canceled while queued; Cancel already accounted for it
 	}
-	var (
-		fig *experiments.Figure
-		// Dispatcher mode tracks the effort of freshly solved columns
-		// only: store-served columns keep their original Stats for the
-		// TSV footer (byte-identity), but a restarted coordinator that
-		// answers a whole job from the store must add nothing to this
-		// process's lp_* counters.
-		freshMu    sync.Mutex
-		freshStats lp.Stats
-		freshCols  int
-	)
-	sys, err := j.plan.buildSystem()
-	if err == nil {
-		opts := experiments.Options{
-			Parallel:     s.cfg.Parallel,
-			SolveTimeout: s.cfg.SolveTimeout,
-			Ctx:          j.ctx,
-			OnCell:       j.setProgress,
-			ColdStart:    s.cfg.ColdStart,
-		}
-		if j.plan.solveTimeout > 0 {
-			opts.SolveTimeout = j.plan.solveTimeout
-		}
-		opts.Bound.LP.CheckEvery = s.cfg.CheckEvery
-		opts.Bound.LP.Presolve = s.cfg.Presolve
-		opts.Bound.LP.Pricing = s.cfg.Pricing
-		opts.Bound.LP.Factor = s.cfg.Factor
-		if s.cfg.Dispatcher != nil {
-			var fp string
-			fp, err = scenario.Fingerprint(sys)
-			if err == nil {
-				timeout := opts.SolveTimeout
-				opts.ColdStart = false // the shard is the warm-chain column
-				opts.ColumnSolver = func(ctx context.Context, class string, qos []float64) ([]experiments.Point, error) {
-					pts, fromStore, cerr := s.cfg.Dispatcher.SolveColumn(ctx, j.plan.shard(class, fp, timeout))
-					if cerr != nil {
-						return nil, cerr
-					}
-					if !fromStore {
-						var agg lp.Stats
-						for _, p := range pts {
-							agg.Add(p.Stats)
-						}
-						freshMu.Lock()
-						freshStats.Add(agg)
-						freshCols++
-						freshMu.Unlock()
-					}
-					j.publish(JobEvent{Type: "column", Class: class, Cells: len(pts), FromStore: fromStore})
-					return pts, nil
-				}
-			}
-		}
-		if err == nil {
-			fig, err = j.plan.run(sys, opts)
-		}
-	}
+	var fresh freshEffort
+	fig, err := s.sweep(j, &fresh)
 	state := j.finish(fig, err, time.Now())
 	switch state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
 		if s.cfg.Dispatcher != nil {
-			if freshCols > 0 {
-				s.lpStats.Record(freshStats)
+			if fresh.cols > 0 {
+				s.lpStats.Record(fresh.stats)
 			}
 		} else {
 			_, agg := fig.SolverStats()
@@ -342,6 +274,75 @@ func (s *Server) runJob(j *Job) {
 	elapsed := j.finished.Sub(j.started)
 	j.mu.Unlock()
 	s.metrics.duration.observe(elapsed.Seconds())
+}
+
+// freshEffort accumulates the solver effort of a dispatched job's freshly
+// solved columns. Dispatcher mode counts only those: store-served columns
+// keep their original Stats for the TSV footer (byte-identity), but a
+// restarted coordinator that answers a whole job from the store must add
+// nothing to this process's lp_* counters.
+type freshEffort struct {
+	mu    sync.Mutex
+	stats lp.Stats
+	cols  int
+}
+
+// sweep builds a job's system and runs its figure. A panic anywhere in it
+// — a sweep re-raises a panicking cell's panic here — fails the job
+// instead of killing the daemon with every job in flight: the stack is
+// logged and placementd_panics_total counts it.
+func (s *Server) sweep(j *Job, fresh *freshEffort) (fig *experiments.Figure, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.panics.Add(1)
+			stack := debug.Stack()
+			if cp, ok := r.(*experiments.CellPanic); ok {
+				r, stack = cp.Value, cp.Stack
+			}
+			log.Printf("placementd: job %s panicked: %v\n%s", j.id, r, stack)
+			fig, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	sys, err := j.plan.buildSystem()
+	if err != nil {
+		return nil, err
+	}
+	opts := experiments.Options{
+		Parallel:     s.cfg.Parallel,
+		SolveTimeout: s.cfg.SolveTimeout,
+		Ctx:          j.ctx,
+		OnCell:       j.setProgress,
+	}
+	if j.plan.solveTimeout > 0 {
+		opts.SolveTimeout = j.plan.solveTimeout
+	}
+	opts.Bound.LP.CheckEvery = s.cfg.CheckEvery
+	if s.cfg.Dispatcher != nil {
+		fp, err := scenario.Fingerprint(sys)
+		if err != nil {
+			return nil, err
+		}
+		timeout := opts.SolveTimeout
+		opts.ColumnSolver = func(ctx context.Context, class string, qos []float64) ([]experiments.Point, error) {
+			pts, fromStore, err := s.cfg.Dispatcher.SolveColumn(ctx, j.plan.shard(class, fp, timeout))
+			if err != nil {
+				return nil, err
+			}
+			if !fromStore {
+				var agg lp.Stats
+				for _, p := range pts {
+					agg.Add(p.Stats)
+				}
+				fresh.mu.Lock()
+				fresh.stats.Add(agg)
+				fresh.cols++
+				fresh.mu.Unlock()
+			}
+			j.publish(JobEvent{Type: "column", Class: class, Cells: len(pts), FromStore: fromStore})
+			return pts, nil
+		}
+	}
+	return j.plan.run(sys, opts)
 }
 
 // Drain gracefully shuts the server down: new submissions are rejected,
