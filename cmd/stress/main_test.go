@@ -105,6 +105,31 @@ func TestRunStreamedRungByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunTransitN20MatchesCommittedTSV pins the solver's pivot path at the
+// command line: rerunning the N=20 transit-stub rung must reproduce the
+// committed stress_transit-stub-100_n20.tsv byte for byte, "# solver:"
+// footer included, so any change to the iteration, refactorization or
+// pricing counters shows up here and not only in the bounds.
+func TestRunTransitN20MatchesCommittedTSV(t *testing.T) {
+	const name = "stress_transit-stub-100_n20.tsv"
+	want, err := os.ReadFile(filepath.Join("..", "..", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var out, errw strings.Builder
+	if err := run([]string{"-scenarios", "transit-stub-100", "-sizes", "20", "-out", dir, "-bench", ""}, &out, &errw); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("rerun differs from the committed %s:\n--- committed ---\n%s--- rerun ---\n%s", name, want, got)
+	}
+}
+
 // TestRunRejectsBadFlags: flag errors surface instead of os.Exit-ing.
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errw strings.Builder

@@ -3,9 +3,11 @@ package dist
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,5 +235,62 @@ func TestHeartbeatRegisters(t *testing.T) {
 			t.Fatalf("worker never registered; registry: %+v", co.Workers())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWorkerShardPanicIsCleanError injects a deterministic panic into both
+// workers' shard solves, one as a sweep's re-raised *CellPanic and one as
+// a bare value. The shard must fail with an error naming the panic after
+// trying both workers, the workers must stay registered (they answered,
+// so they are alive) and count the panic, and the next shard must solve.
+func TestWorkerShardPanicIsCleanError(t *testing.T) {
+	spec := tinySpec()
+	fp := tinyFingerprint(t)
+	var armed atomic.Bool
+	armed.Store(true)
+	start := func(value interface{}) (*Worker, *httptest.Server) {
+		w := NewWorker(WorkerConfig{})
+		w.solveHook = func(ctx context.Context, shard *ShardJob) ([]experiments.Point, error) {
+			if armed.Load() {
+				panic(value)
+			}
+			return w.solve(ctx, shard)
+		}
+		srv := httptest.NewServer(w.Handler())
+		t.Cleanup(srv.Close)
+		return w, srv
+	}
+	cellWorker, cellSrv := start(&experiments.CellPanic{Value: "injected solver fault", Stack: []byte("cell stack")})
+	bareWorker, bareSrv := start("injected solver fault")
+
+	co := NewCoordinator(CoordinatorConfig{WorkerWait: 2 * time.Second, ShardRetries: 1})
+	co.Register(cellSrv.URL)
+	co.Register(bareSrv.URL)
+	shard := ShardJob{Spec: &spec, Class: "general", Fingerprint: fp}
+	_, _, err := co.SolveColumn(context.Background(), shard)
+	if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "panic: injected solver fault") {
+		t.Fatalf("err = %v, want a 500 naming the panic", err)
+	}
+	if n := len(co.Workers()); n != 2 {
+		t.Fatalf("%d workers registered after the panics, want 2", n)
+	}
+	for _, w := range []*Worker{cellWorker, bareWorker} {
+		if p, f := w.panics.Load(), w.failed.Load(); p != 1 || f != 1 {
+			t.Fatalf("worker counted panics=%d failed=%d, want 1 and 1", p, f)
+		}
+	}
+	resp, err := http.Get(cellSrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "\nplacementd_worker_panics_total 1\n") {
+		t.Fatalf("/metrics lacks placementd_worker_panics_total 1:\n%s", body)
+	}
+
+	armed.Store(false)
+	if _, _, err := co.SolveColumn(context.Background(), shard); err != nil {
+		t.Fatalf("shard after the panics: %v", err)
 	}
 }

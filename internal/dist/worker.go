@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -41,6 +43,10 @@ type Worker struct {
 	lpStats lp.StatsCollector
 	served  atomic.Uint64
 	failed  atomic.Uint64
+	panics  atomic.Uint64
+
+	// solveHook, when set, replaces solve (tests inject faults with it).
+	solveHook func(ctx context.Context, shard *ShardJob) ([]experiments.Point, error)
 }
 
 // NewWorker returns a worker ready to serve.
@@ -84,7 +90,7 @@ func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "canceled while queued", http.StatusServiceUnavailable)
 		return
 	}
-	points, err := w.solve(r.Context(), &shard)
+	points, err := w.runShard(r.Context(), &shard)
 	if err != nil {
 		w.failed.Add(1)
 		status := http.StatusInternalServerError
@@ -97,6 +103,30 @@ func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
 	w.served.Add(1)
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(ColumnResult{Class: shard.Class, Points: points}) //nolint:errcheck // response committed
+}
+
+// runShard solves one shard and turns a panic in it — the solver's own, or
+// a sweep cell's re-raised as *experiments.CellPanic — into an error. The
+// coordinator then gets a clean 500 naming the panic, instead of a dropped
+// connection it would take for a dead worker: a deterministic panic would
+// otherwise drop every live worker in turn as the shard is retried. The
+// stack is logged and placementd_worker_panics_total counts it.
+func (w *Worker) runShard(ctx context.Context, shard *ShardJob) (points []experiments.Point, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panics.Add(1)
+			stack := debug.Stack()
+			if cp, ok := r.(*experiments.CellPanic); ok {
+				r, stack = cp.Value, cp.Stack
+			}
+			log.Printf("placementd worker: shard %s/%s panicked: %v\n%s", shard.Fingerprint, shard.Class, r, stack)
+			points, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	if w.solveHook != nil {
+		return w.solveHook(ctx, shard)
+	}
+	return w.solve(ctx, shard)
 }
 
 // solve runs one shard as a warm-chained column with the solver's default
@@ -129,6 +159,7 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	}
 	counter("placementd_worker_shards_served_total", "Column shards solved successfully.", w.served.Load())
 	counter("placementd_worker_shards_failed_total", "Column shards that failed or were canceled.", w.failed.Load())
+	counter("placementd_worker_panics_total", "Column shards failed by a recovered panic (stack logged).", w.panics.Load())
 	counter("placementd_worker_lp_columns_total", "Solved columns whose effort is aggregated below.", uint64(columns))
 	counter("placementd_worker_lp_iterations_total", "Simplex iterations across all shard solves.", uint64(total.Iterations))
 	counter("placementd_worker_lp_refactorizations_total", "Mid-solve basis refactorizations across all shard solves.", uint64(total.Refactorizations))

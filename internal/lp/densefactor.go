@@ -115,8 +115,9 @@ func (d *DenseFactor) work() []float64 {
 	return d.scratch[:d.m]
 }
 
-// Ftran implements Factorizer: solves B*x = b in place.
-func (d *DenseFactor) Ftran(b []float64) {
+// Ftran implements Factorizer: solves B*x = b in place with dense
+// triangular solves, then scans the result for its nonzero positions.
+func (d *DenseFactor) Ftran(b []float64, _, out []int32) []int32 {
 	m := d.m
 	// Apply permutation: solve P*B = LU, so LU*x = P*b.
 	tmp := d.work()
@@ -143,12 +144,13 @@ func (d *DenseFactor) Ftran(b []float64) {
 	}
 	copy(b, tmp)
 	d.etas.ftranApply(b)
+	return nonzeros(b, out)
 }
 
 // Btran implements Factorizer: solves B^T*y = c in place. The transposed
 // solves read luT (lu's transpose) so every inner loop streams a
 // contiguous row; lu[k*m+i] for running k is luT[i*m+k].
-func (d *DenseFactor) Btran(c []float64) {
+func (d *DenseFactor) Btran(c []float64, _, out []int32) []int32 {
 	d.etas.btranApply(c)
 	m := d.m
 	tmp := d.work()
@@ -183,6 +185,7 @@ func (d *DenseFactor) Btran(c []float64) {
 	for i := 0; i < m; i++ {
 		c[d.perm[i]] = tmp[i]
 	}
+	return nonzeros(c, out)
 }
 
 // Update implements Factorizer.

@@ -14,9 +14,14 @@
 //     devex pricing, bound flips and a Bland anti-cycling fallback.
 //   - A sparse LU basis factorization (left-looking Gilbert-Peierls with
 //     partial pivoting) updated in place by Forrest-Tomlin updates between
-//     periodic refactorizations. Bases of at most 25 rows (the DenseLimit
-//     default) use a dense LU with product-form eta updates instead; the
-//     MC-PERF bases of real sweeps are all larger.
+//     periodic refactorizations. Its FTRAN and BTRAN are hyper-sparse:
+//     they take the input's nonzero list, touch only the entries the
+//     solve reaches while those stay under one density gate, and return
+//     the result's ascending nonzero pattern, over which the simplex runs
+//     its ratio test, basic-value update and pivot-row gather. Both
+//     branches of the gate compute the same bits. Bases of at most 25
+//     rows (the DenseLimit default) use a dense LU with product-form eta
+//     updates instead; the MC-PERF bases of real sweeps are all larger.
 //   - Warm starts from a prior basis, with a dual re-optimize pass that
 //     restores primal feasibility after the problem drifted before the
 //     primal phases certify optimality.

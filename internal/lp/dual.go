@@ -75,30 +75,7 @@ func (s *simplex) dualReoptimize() error {
 		}
 		// Pivot row alpha = e_r^T B^-1 A, gathered sparsely over the CSR
 		// copy exactly as the devex weight update does.
-		for i := range s.beta {
-			s.beta[i] = 0
-		}
-		s.beta[r] = 1
-		s.fac.Btran(s.beta)
-		s.alphaMark++
-		mark := s.alphaMark
-		pat := s.alphaPat[:0]
-		for row := 0; row < s.m; row++ {
-			br := s.beta[row]
-			if br == 0 {
-				continue
-			}
-			for e := s.rowPtr[row]; e < s.rowPtr[row+1]; e++ {
-				j := s.rowCol[e]
-				if s.alphaFlag[j] != mark {
-					s.alphaFlag[j] = mark
-					s.alpha[j] = 0
-					pat = append(pat, j)
-				}
-				s.alpha[j] += br * s.rowVal[e]
-			}
-		}
-		s.alphaPat = pat
+		pat := s.pivotRow(r)
 		// Dual ratio test. sigma orients the pivot row so that an eligible
 		// entering move pushes xB[r] toward its violated bound: a column at
 		// its lower bound moves up and needs sigma*alpha > 0, one at its
@@ -154,14 +131,7 @@ func (s *simplex) dualReoptimize() error {
 			return nil
 		}
 		// FTRAN the entering column; its image at r is the pivot element.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		ri, rv := s.p.cols.Col(q)
-		for k, row := range ri {
-			s.w[row] = rv[k]
-		}
-		s.fac.Ftran(s.w)
+		s.ftranColumn(q)
 		aq := s.w[r]
 		if abs(aq) <= piv {
 			return nil // numerically degraded pivot: leave it to the primal path
@@ -181,11 +151,9 @@ func (s *simplex) dualReoptimize() error {
 		// Primal update: basics move against the entering column's image;
 		// the entering variable absorbs the step (it may overshoot its own
 		// far bound — then it simply becomes the next leaving candidate).
-		for i := range s.xB {
-			if s.w[i] != 0 {
-				s.xB[i] -= step * s.w[i]
-				s.x[s.basis[i]] = s.xB[i]
-			}
+		for _, i := range s.wPat {
+			s.xB[i] -= step * s.w[i]
+			s.x[s.basis[i]] = s.xB[i]
 		}
 		leave := s.basis[r]
 		leaveStatus, leaveX := s.status[q], s.x[q]

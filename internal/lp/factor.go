@@ -6,6 +6,13 @@ import "fmt"
 // simplex core uses it through FTRAN (solve B*x = b) and BTRAN (solve
 // B^T*y = c), plus an incremental Update when one basis column is replaced.
 //
+// Both solves share one sparse contract: the caller passes the input's
+// nonzero index list, and the solve hands back the ascending indices where
+// the result is nonzero. The result vector is exactly zero everywhere
+// else, so a caller can clear it (and scan it) over that list instead of
+// over all m entries. Dense right-hand sides go through the same contract
+// with every nonzero listed (see nonzeros).
+//
 // Implementations absorb the Update either as a product-form eta
 // (DenseFactor) or as a Forrest-Tomlin modification of the stored factors
 // (SparseFactor), and signal via the returned bool when a full
@@ -14,10 +21,15 @@ type Factorizer interface {
 	// Factor (re)factorizes the basis given by the m column indices in
 	// basis, drawing columns from the problem matrix a.
 	Factor(a *CSC, basis []int) error
-	// Ftran solves B*x = b in place (b has length m).
-	Ftran(b []float64)
-	// Btran solves B^T*y = c in place (c has length m).
-	Btran(c []float64)
+	// Ftran solves B*x = b in place. b is indexed by constraint row and
+	// nz lists each row where b may be nonzero, once, in any order; b
+	// must be zero off nz. On return b holds x, indexed by basis
+	// position, and the ascending positions where x is nonzero are
+	// appended to out[:0] and returned; out may share nz's storage.
+	Ftran(b []float64, nz, out []int32) []int32
+	// Btran solves B^T*y = c in place: c is indexed by basis position, y
+	// by constraint row, and nz and out work as in Ftran.
+	Btran(c []float64, nz, out []int32) []int32
 	// Update replaces basis position pos with a column whose FTRAN image
 	// (B^-1 * a_q) is w — the w most recently produced by Ftran, which
 	// lets implementations reuse that solve's sparsity pattern instead of
@@ -28,6 +40,18 @@ type Factorizer interface {
 	// Forrest-Tomlin update fails halfway through); the caller must Factor
 	// before the next solve.
 	Update(w []float64, pos int) (refactor bool, err error)
+}
+
+// nonzeros appends the indices of v's nonzero entries to pat[:0]: the
+// nz list of a dense right-hand side.
+func nonzeros(v []float64, pat []int32) []int32 {
+	pat = pat[:0]
+	for i, x := range v {
+		if x != 0 {
+			pat = append(pat, int32(i))
+		}
+	}
+	return pat
 }
 
 // repairingFactorizer is the optional fast path for warm starts whose

@@ -24,6 +24,13 @@ func randomBasisMatrix(rng *testRand, m int) *CSC {
 	return tb.ToCSC()
 }
 
+// ftranDense and btranDense solve a dense right-hand side through the
+// sparse contract, listing every nonzero as recomputeXB and computeDuals
+// do.
+func ftranDense(f Factorizer, b []float64) []int32 { return f.Ftran(b, nonzeros(b, nil), nil) }
+
+func btranDense(f Factorizer, c []float64) []int32 { return f.Btran(c, nonzeros(c, nil), nil) }
+
 // checkFtranBtran verifies B*x = b and B^T*y = c round-trips for a
 // factorizer against direct multiplication.
 func checkFtranBtran(t *testing.T, f Factorizer, a *CSC, basis []int, rng *testRand) {
@@ -44,7 +51,7 @@ func checkFtranBtran(t *testing.T, f Factorizer, a *CSC, basis []int, rng *testR
 			b[r] += rv[k] * x0[c]
 		}
 	}
-	f.Ftran(b)
+	checkPattern(t, "Ftran", b, ftranDense(f, b))
 	for i := range b {
 		if math.Abs(b[i]-x0[i]) > 1e-7 {
 			t.Fatalf("Ftran mismatch at %d: got %g want %g", i, b[i], x0[i])
@@ -62,7 +69,7 @@ func checkFtranBtran(t *testing.T, f Factorizer, a *CSC, basis []int, rng *testR
 			cv[c] += rv[k] * y0[r]
 		}
 	}
-	f.Btran(cv)
+	checkPattern(t, "Btran", cv, btranDense(f, cv))
 	for i := range cv {
 		if math.Abs(cv[i]-y0[i]) > 1e-7 {
 			t.Fatalf("Btran mismatch at %d: got %g want %g", i, cv[i], y0[i])
@@ -128,7 +135,7 @@ func TestFactorUpdateConsistency(t *testing.T) {
 				for k, r := range ri {
 					w[r] = rv[k]
 				}
-				fac.Ftran(w)
+				ftranDense(fac, w)
 				if math.Abs(w[pos]) < 1e-6 {
 					continue // replacement would make the basis singular
 				}
@@ -230,11 +237,13 @@ func TestPartialPricingMatchesFull(t *testing.T) {
 }
 
 // benchBackendCycle drives one backend through the simplex's per-iteration
-// factorization traffic — FTRAN of an entering column, a BTRAN (the devex
-// pivot row), and the basis update, refactorizing when the backend asks —
-// on the well-conditioned twin-column matrix of the long-chain test. The
-// dense/sparse crossover (the Options.DenseLimit default) is chosen where
-// the sparse backend overtakes the dense one on this cycle.
+// factorization traffic — FTRAN of an entering column, a unit BTRAN (the
+// devex pivot row), and the basis update, refactorizing when the backend
+// asks — on the well-conditioned twin-column matrix of the long-chain test.
+// Like the simplex it passes each solve its input pattern and clears the
+// previous result over the returned one. The dense/sparse crossover (the
+// Options.DenseLimit default) is chosen where the sparse backend overtakes
+// the dense one on this cycle.
 func benchBackendCycle(b *testing.B, f Factorizer, m int) {
 	rng := newTestRand(42)
 	tb := NewTripletBuilder(m, 2*m)
@@ -255,7 +264,8 @@ func benchBackendCycle(b *testing.B, f Factorizer, m int) {
 		b.Fatal(err)
 	}
 	w := make([]float64, m)
-	scratch := make([]float64, m)
+	beta := make([]float64, m)
+	var nz, wPat, betaPat []int32
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		pos := rng.intn(m)
@@ -263,22 +273,24 @@ func benchBackendCycle(b *testing.B, f Factorizer, m int) {
 		if inBasis[newCol] {
 			continue
 		}
-		for i := range w {
+		for _, i := range wPat {
 			w[i] = 0
 		}
 		ri, rv := a.Col(newCol)
+		nz = nz[:0]
 		for k, r := range ri {
 			w[r] = rv[k]
+			nz = append(nz, int32(r))
 		}
-		f.Ftran(w)
+		wPat = f.Ftran(w, nz, wPat)
 		if abs(w[pos]) < 1e-6 {
 			continue
 		}
-		for i := range scratch {
-			scratch[i] = 0
+		for _, i := range betaPat {
+			beta[i] = 0
 		}
-		scratch[pos] = 1
-		f.Btran(scratch)
+		beta[pos] = 1
+		betaPat = f.Btran(beta, []int32{int32(pos)}, betaPat)
 		inBasis[basis[pos]] = false
 		inBasis[newCol] = true
 		basis[pos] = newCol
@@ -294,6 +306,9 @@ func benchBackendCycle(b *testing.B, f Factorizer, m int) {
 	}
 }
 
+// BenchmarkFactorCycle compares the backends up to a few hundred rows; the
+// m=10000 case, the size of the transit-stub sweep's bases, runs the
+// sparse backend alone (a dense LU of that size is 800 MB).
 func BenchmarkFactorCycle(b *testing.B) {
 	for _, m := range []int{10, 20, 30, 50, 75, 100, 200, 400} {
 		b.Run(fmt.Sprintf("dense/m=%d", m), func(b *testing.B) {
@@ -303,4 +318,7 @@ func BenchmarkFactorCycle(b *testing.B) {
 			benchBackendCycle(b, NewSparseFactor(0), m)
 		})
 	}
+	b.Run("sparse/m=10000", func(b *testing.B) {
+		benchBackendCycle(b, NewSparseFactor(0), 10000)
+	})
 }

@@ -94,8 +94,7 @@ func (s *simplex) refreshD(phase1 bool) {
 	} else {
 		s.phase2Costs()
 	}
-	copy(s.y, s.cB)
-	s.fac.Btran(s.y)
+	s.computeDuals()
 	for j := 0; j < s.n; j++ {
 		s.d[j] = s.reducedCost(j, phase1)
 	}
@@ -174,31 +173,7 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 		s.dDirty = true
 		return
 	}
-	// beta = e_pos^T B^-1: the pivot row of the pre-pivot basis inverse.
-	for i := range s.beta {
-		s.beta[i] = 0
-	}
-	s.beta[pos] = 1
-	s.fac.Btran(s.beta)
-	s.alphaMark++
-	mark := s.alphaMark
-	pat := s.alphaPat[:0]
-	for r := 0; r < s.m; r++ {
-		br := s.beta[r]
-		if br == 0 {
-			continue
-		}
-		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
-			j := s.rowCol[e]
-			if s.alphaFlag[j] != mark {
-				s.alphaFlag[j] = mark
-				s.alpha[j] = 0
-				pat = append(pat, j)
-			}
-			s.alpha[j] += br * s.rowVal[e]
-		}
-	}
-	s.alphaPat = pat
+	pat := s.pivotRow(pos)
 	scale := s.gamma[q] / (aq * aq)
 	updateD := !s.dDirty
 	var rate float64
@@ -251,6 +226,41 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 	}
 }
 
+// clearBeta zeroes beta over the pattern of the BTRAN that filled it.
+func (s *simplex) clearBeta() {
+	for _, r := range s.betaPat {
+		s.beta[r] = 0
+	}
+}
+
+// pivotRow gathers the pivot row alpha = e_pos^T B^-1 A of the current
+// basis into the stamped alpha scratch and returns its pattern: one unit
+// BTRAN for beta = e_pos^T B^-1, then the CSR rows of beta's nonzeros in
+// ascending row order.
+func (s *simplex) pivotRow(pos int) []int32 {
+	s.clearBeta()
+	s.beta[pos] = 1
+	s.unitPat[0] = int32(pos)
+	s.betaPat = s.fac.Btran(s.beta, s.unitPat[:], s.betaPat)
+	s.alphaMark++
+	mark := s.alphaMark
+	pat := s.alphaPat[:0]
+	for _, r := range s.betaPat {
+		br := s.beta[r]
+		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
+			j := s.rowCol[e]
+			if s.alphaFlag[j] != mark {
+				s.alphaFlag[j] = mark
+				s.alpha[j] = 0
+				pat = append(pat, j)
+			}
+			s.alpha[j] += br * s.rowVal[e]
+		}
+	}
+	s.alphaPat = pat
+	return pat
+}
+
 // applyCostCorrection folds a sparse basic-cost change into the
 // reduced-cost cache: with the basic costs shifted by the recorded band
 // deltas, the duals shift by v = B^-T delta and every reduced cost by
@@ -259,18 +269,13 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 // entries pick up a nonzero here, but those entries are never read: basic
 // columns price as 0 and d[leave] is set outright when one leaves.
 func (s *simplex) applyCostCorrection() {
-	for i := range s.beta {
-		s.beta[i] = 0
-	}
+	s.clearBeta()
 	for k, i := range s.flipPos {
 		s.beta[i] = s.flipDelta[k]
 	}
-	s.fac.Btran(s.beta)
-	for r := 0; r < s.m; r++ {
+	s.betaPat = s.fac.Btran(s.beta, s.flipPos, s.betaPat)
+	for _, r := range s.betaPat {
 		vr := s.beta[r]
-		if vr == 0 {
-			continue
-		}
 		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
 			s.d[s.rowCol[e]] -= vr * s.rowVal[e]
 		}

@@ -135,7 +135,7 @@ type simplex struct {
 	x      []float64 // current value of every column
 	xB     []float64 // values of basic columns (mirror of x at basis positions)
 
-	cB   []float64 // basic cost vector for the current phase
+	cB []float64 // basic cost vector for the current phase
 	// comp weights the true objective into the phase-1 cost vector
 	// (cB[i] = band + comp*obj): feasibility restoration then prefers, among
 	// equally infeasibility-reducing pivots, the ones that do not degrade
@@ -148,8 +148,16 @@ type simplex struct {
 	// store for the flip detection to compare against.
 	p1band []float64
 	y      []float64 // duals scratch
-	w    []float64 // FTRAN image of the entering column
-	rhs0 []float64 // scratch for -N*xN
+	// w is the FTRAN image of the entering column, zero off wPat (its
+	// ascending nonzero positions): each FTRAN clears its predecessor over
+	// that pattern instead of over all m rows.
+	w      []float64
+	wPat   []int32
+	colPat []int32   // FTRAN input: the entering column's rows
+	rhs0   []float64 // scratch for -N*xN
+	// densePat is the nz list of the dense right-hand sides (recomputeXB,
+	// computeDuals).
+	densePat []int32
 
 	iter       int
 	degenerate int
@@ -159,7 +167,11 @@ type simplex struct {
 
 	devex bool      // devex pricing active
 	gamma []float64 // devex weight per column
-	beta  []float64 // scratch for the pivot row of B^-1
+	// beta is the last sparse BTRAN result (a pivot row of B^-1 or a dual
+	// correction), zero off betaPat, its ascending nonzero rows.
+	beta    []float64
+	betaPat []int32
+	unitPat [1]int32 // nz list of a unit BTRAN input
 
 	// Devex reduced-cost cache: d_j maintained incrementally across pivots
 	// (d'_j = d_j - (d_q/alpha_q) alpha_j over the pivot row's pattern)
@@ -455,11 +467,33 @@ func (s *simplex) recomputeXB() {
 			s.rhs0[r] -= rv[k] * xj
 		}
 	}
-	s.fac.Ftran(s.rhs0)
+	s.densePat = s.fac.Ftran(s.rhs0, nonzeros(s.rhs0, s.densePat), s.densePat)
 	copy(s.xB, s.rhs0)
 	for i, q := range s.basis {
 		s.x[q] = s.xB[i]
 	}
+}
+
+// ftranColumn sets w = B^-1 a_q, clearing the previous image over its
+// pattern first.
+func (s *simplex) ftranColumn(q int) {
+	for _, i := range s.wPat {
+		s.w[i] = 0
+	}
+	ri, rv := s.p.cols.Col(q)
+	nz := s.colPat[:0]
+	for k, r := range ri {
+		s.w[r] = rv[k]
+		nz = append(nz, int32(r))
+	}
+	s.colPat = nz
+	s.wPat = s.fac.Ftran(s.w, nz, s.wPat)
+}
+
+// computeDuals sets y = B^-T cB.
+func (s *simplex) computeDuals() {
+	copy(s.y, s.cB)
+	s.densePat = s.fac.Btran(s.y, nonzeros(s.y, s.densePat), s.densePat)
 }
 
 // infeasibility returns the total bound violation of the basic variables.
@@ -626,8 +660,9 @@ type ratioEvent struct {
 	pivMag float64 // |w[pos]|, used for stability tie-breaking
 }
 
-// ratioTest scans the FTRAN image w for the first blocking event when the
-// entering variable q moves in direction dir.
+// ratioTest scans the FTRAN image w, in ascending position order over its
+// pattern, for the first blocking event when the entering variable q moves
+// in direction dir.
 func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) {
 	tol := s.opts.Tol
 	piv := s.opts.PivTol
@@ -636,7 +671,8 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) 
 	if rng := s.p.hi[q] - s.p.lo[q]; !math.IsInf(rng, 1) {
 		best = ratioEvent{t: rng, pos: -1}
 	}
-	for i := range s.w {
+	for _, i32 := range s.wPat {
+		i := int(i32)
 		wi := s.w[i]
 		if abs(wi) <= piv {
 			continue
@@ -717,8 +753,7 @@ func (s *simplex) loop(phase1 bool) error {
 			} else {
 				s.phase2Costs()
 			}
-			copy(s.y, s.cB)
-			s.fac.Btran(s.y)
+			s.computeDuals()
 		}
 		q, dir := s.price(phase1)
 		if q < 0 && s.devex && !refreshed {
@@ -736,15 +771,7 @@ func (s *simplex) loop(phase1 bool) error {
 			}
 			return nil // optimal for this phase
 		}
-		// FTRAN the entering column.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		ri, rv := s.p.cols.Col(q)
-		for k, r := range ri {
-			s.w[r] = rv[k]
-		}
-		s.fac.Ftran(s.w)
+		s.ftranColumn(q)
 
 		ev, ok := s.ratioTest(q, dir, phase1)
 		if !ok {
@@ -788,25 +815,24 @@ func (s *simplex) loop(phase1 bool) error {
 		trackFlips := phase1 && s.devex && !s.dDirty
 		s.flipPos, s.flipDelta = s.flipPos[:0], s.flipDelta[:0]
 		tol := s.opts.Tol
-		for i := range s.xB {
-			if s.w[i] != 0 {
-				s.xB[i] -= step * s.w[i]
-				s.x[s.basis[i]] = s.xB[i]
-				if trackFlips && i != ev.pos {
-					qi, v := s.basis[i], s.xB[i]
-					band := 0.0
-					switch {
-					case v < s.p.lo[qi]-tol:
-						band = -1
-					case v > s.p.hi[qi]+tol:
-						band = 1
-					}
-					if band != s.p1band[i] {
-						s.flipPos = append(s.flipPos, int32(i))
-						s.flipDelta = append(s.flipDelta, band-s.p1band[i])
-						s.cB[i] += band - s.p1band[i]
-						s.p1band[i] = band
-					}
+		for _, i32 := range s.wPat {
+			i := int(i32)
+			s.xB[i] -= step * s.w[i]
+			s.x[s.basis[i]] = s.xB[i]
+			if trackFlips && i != ev.pos {
+				qi, v := s.basis[i], s.xB[i]
+				band := 0.0
+				switch {
+				case v < s.p.lo[qi]-tol:
+					band = -1
+				case v > s.p.hi[qi]+tol:
+					band = 1
+				}
+				if band != s.p1band[i] {
+					s.flipPos = append(s.flipPos, i32)
+					s.flipDelta = append(s.flipDelta, band-s.p1band[i])
+					s.cB[i] += band - s.p1band[i]
+					s.p1band[i] = band
 				}
 			}
 		}
@@ -968,8 +994,7 @@ func (s *simplex) buildSolution() *Solution {
 	// Duals from the final basis: y = B^-T cB with phase-2 costs. Our slack
 	// columns carry coefficient -1, so the conventional row dual is -y.
 	s.phase2Costs()
-	copy(s.y, s.cB)
-	s.fac.Btran(s.y)
+	s.computeDuals()
 	for i := 0; i < s.m; i++ {
 		d := s.y[i]
 		if s.p.sense == Maximize {

@@ -1,5 +1,7 @@
 package lp
 
+import mbits "math/bits"
+
 // SparseFactor is the sparse-LU basis factorization backend with
 // Forrest-Tomlin basis updates. It is the default for bases beyond
 // Options.DenseLimit rows.
@@ -17,9 +19,21 @@ type SparseFactor struct {
 	lu *sparseLU // L (static between refactorizations) and the permutations
 	u  ftU       // editable U with the Forrest-Tomlin machinery
 
-	m    int
-	tmp  []float64 // factor-coordinate scratch for Ftran
-	btmp []float64 // separate scratch for Btran, keeps the Ftran record intact
+	m int
+
+	// Solve state shared by Ftran and Btran (one solve runs at a time).
+	// tmp is the factor-coordinate work vector, all-zero between solves.
+	// pat collects the solve's touched entries, stamped in u.sflag under
+	// one u.smark per solve; u.bits orders them.
+	tmp []float64
+	pat []int32
+	// prow inverts lu.pinv (factor row k holds original row prow[k]), and
+	// lrow[lrowPtr[k]:lrowPtr[k+1]] lists the columns j < k with
+	// L[k][j] != 0: the edges along which Btran's L^T solve spreads.
+	// Rebuilt at each refactorization into the same buffers.
+	prow    []int32
+	lrowPtr []int32
+	lrow    []int32
 
 	maxEtas int
 	pivTol  float64
@@ -71,52 +85,302 @@ func (s *SparseFactor) FactorRepair(a *CSC, basis []int) ([]basisSwap, error) {
 func (s *SparseFactor) install(lu *sparseLU, m int) {
 	s.lu = lu
 	s.m = m
-	if cap(s.tmp) < s.m {
-		s.tmp = make([]float64, s.m)
-		s.btmp = make([]float64, s.m)
+	if cap(s.lrowPtr) < m+1 {
+		s.tmp = make([]float64, m)
+		s.pat = make([]int32, 0, m)
+		s.prow = make([]int32, m)
+		s.lrowPtr = make([]int32, m+1)
 	}
+	s.prow = s.prow[:m]
+	for i, k := range lu.pinv {
+		s.prow[k] = int32(i)
+	}
+	// L row lists by counting sort over L's strictly-lower entries (each
+	// column's first entry is its unit diagonal).
+	ptr := s.lrowPtr[:m+1]
+	for k := range ptr {
+		ptr[k] = 0
+	}
+	for j := 0; j < m; j++ {
+		for p := lu.lp[j] + 1; p < lu.lp[j+1]; p++ {
+			ptr[lu.li[p]+1]++
+		}
+	}
+	for k := 0; k < m; k++ {
+		ptr[k+1] += ptr[k]
+	}
+	if n := int(ptr[m]); cap(s.lrow) < n {
+		s.lrow = make([]int32, n)
+	} else {
+		s.lrow = s.lrow[:n]
+	}
+	for j := 0; j < m; j++ {
+		for p := lu.lp[j] + 1; p < lu.lp[j+1]; p++ {
+			r := lu.li[p]
+			s.lrow[ptr[r]] = int32(j)
+			ptr[r]++
+		}
+	}
+	for k := m; k > 0; k-- {
+		ptr[k] = ptr[k-1]
+	}
+	ptr[0] = 0
 	s.u.init(lu)
 	s.lastOK = false
 }
+
+// sparseSolve reports whether a solve whose touched set has n entries
+// stays on the hyper-sparse path: the single density gate of both solves.
+func (s *SparseFactor) sparseSolve(n int) bool { return n*utsolveSparseRatio <= s.m }
 
 // Ftran implements Factorizer: x = B^-1 b in place. The solve runs in
 // factor coordinates — permute, L solve, Forrest-Tomlin row etas, ordered
 // U solve, permute back — and records the result's nonzero pattern (in
 // factor coordinates) for the Update that may follow.
-func (s *SparseFactor) Ftran(b []float64) {
-	lu, m := s.lu, s.m
-	tmp := s.tmp[:m]
-	for i := 0; i < m; i++ {
-		tmp[lu.pinv[i]] = b[i]
+//
+// While the touched set stays under the density gate every stage visits
+// touched entries only; once it crosses the gate the remaining stages
+// walk all m entries and the pattern comes from a final scan. Both
+// branches of every stage perform the same floating-point operations in
+// the same order (the L and U solves push in pivot and logical order, the
+// etas replay in recording order), so the gate changes speed, never bits.
+func (s *SparseFactor) Ftran(b []float64, nz, out []int32) []int32 {
+	lu, u, m := s.lu, &s.u, s.m
+	x := s.tmp[:m]
+	u.smark++
+	mark := u.smark
+	pat := s.pat[:0]
+	for _, i := range nz {
+		v := b[i]
+		if v == 0 {
+			continue
+		}
+		b[i] = 0
+		k := int32(lu.pinv[i])
+		x[k] = v
+		u.sflag[k] = mark
+		pat = append(pat, k)
 	}
-	lu.lsolve(tmp)
-	s.u.applyEtasFtran(tmp)
-	s.u.usolve(tmp)
-	pat, val := s.lastPat[:0], s.lastVal[:0]
-	for k := 0; k < m; k++ {
-		v := tmp[k]
-		b[lu.q[k]] = v
-		if v != 0 {
-			pat = append(pat, int32(k))
-			val = append(val, v)
+	sparse := s.sparseSolve(len(pat))
+	if sparse {
+		pat = s.lsolveSparse(x, pat)
+		sparse = s.sparseSolve(len(pat))
+	} else {
+		lu.lsolve(x)
+	}
+	pat = u.applyEtasFtran(x, pat)
+	sparse = sparse && s.sparseSolve(len(pat))
+	if sparse {
+		pat = u.usolveSparse(x, pat)
+	} else {
+		u.usolveDense(x)
+	}
+
+	lastPat, lastVal := s.lastPat[:0], s.lastVal[:0]
+	out = out[:0]
+	if sparse {
+		u.bits.sort(pat)
+		for _, k := range pat {
+			v := x[k]
+			x[k] = 0
+			if v == 0 {
+				continue
+			}
+			b[lu.q[k]] = v
+			lastPat = append(lastPat, k)
+			lastVal = append(lastVal, v)
+			out = append(out, int32(lu.q[k]))
+		}
+	} else {
+		for k := 0; k < m; k++ {
+			v := x[k]
+			x[k] = 0
+			b[lu.q[k]] = v
+			if v != 0 {
+				lastPat = append(lastPat, int32(k))
+				lastVal = append(lastVal, v)
+				out = append(out, int32(lu.q[k]))
+			}
 		}
 	}
-	s.lastPat, s.lastVal = pat, val
+	u.bits.sort(out)
+	s.pat = pat
+	s.lastPat, s.lastVal = lastPat, lastVal
 	s.lastOK = true
+	return out
 }
 
-// Btran implements Factorizer: y = B^-T c in place.
-func (s *SparseFactor) Btran(c []float64) {
-	lu, m := s.lu, s.m
-	tmp := s.btmp[:m]
-	for k := 0; k < m; k++ {
-		tmp[k] = c[lu.q[k]]
+// Btran implements Factorizer: y = B^-T c in place, through U^T, the
+// transposed row etas and L^T. The density gate is decided on the input:
+// the hyper-sparse U^T solve pushes along U's row lists while the dense
+// one pulls along its columns, and the two sum in different orders, so
+// the branch taken must depend on the input's nonzero count alone. Later
+// stages are order-exact on both branches, as in Ftran.
+func (s *SparseFactor) Btran(c []float64, nz, out []int32) []int32 {
+	lu, u, m := s.lu, &s.u, s.m
+	x := s.tmp[:m]
+	u.smark++
+	mark := u.smark
+	pat := s.pat[:0]
+	for _, i := range nz {
+		v := c[i]
+		if v == 0 {
+			continue
+		}
+		c[i] = 0
+		k := int32(lu.qinv[i])
+		x[k] = v
+		u.sflag[k] = mark
+		pat = append(pat, k)
 	}
-	s.u.utsolve(tmp)
-	s.u.applyEtasBtran(tmp)
-	lu.ltsolve(tmp)
-	for i := 0; i < m; i++ {
-		c[i] = tmp[lu.pinv[i]]
+	sparse := s.sparseSolve(len(pat))
+	if sparse {
+		pat = u.utsolveSparse(x, pat)
+	} else {
+		u.utsolveDense(x, pat)
+	}
+	pat = u.applyEtasBtran(x, pat)
+	sparse = sparse && s.sparseSolve(len(pat))
+	out = out[:0]
+	if sparse {
+		pat = s.ltsolveSparse(x, pat)
+		for _, k := range pat {
+			v := x[k]
+			x[k] = 0
+			if v == 0 {
+				continue
+			}
+			i := s.prow[k]
+			c[i] = v
+			out = append(out, i)
+		}
+		u.bits.sort(out)
+	} else {
+		lu.ltsolve(x)
+		for i := 0; i < m; i++ {
+			k := lu.pinv[i]
+			v := x[k]
+			x[k] = 0
+			c[i] = v
+			if v != 0 {
+				out = append(out, int32(i))
+			}
+		}
+	}
+	s.pat = pat
+	return out
+}
+
+// lsolveSparse is the hyper-sparse L solve: entries are popped in
+// ascending pivot order off the ordering bitmap and pushed down their L
+// column, so every entry receives its contributions in the order the
+// dense column walk (sparseLU.lsolve) applies them. L is lower
+// triangular, so a pushed entry always lies ahead of the scan.
+func (s *SparseFactor) lsolveSparse(x []float64, pat []int32) []int32 {
+	lu, u, bits := s.lu, &s.u, s.u.bits
+	mark := u.smark
+	end := (s.m + 63) / 64
+	lo := end
+	for _, k := range pat {
+		bits.set(k)
+		lo = min(lo, int(k>>6))
+	}
+	for w := lo; w < end; w++ {
+		for bits[w] != 0 {
+			t := mbits.TrailingZeros64(bits[w])
+			bits[w] &^= 1 << t
+			j := w<<6 | t
+			xj := x[j]
+			if xj == 0 {
+				continue
+			}
+			for p := lu.lp[j] + 1; p < lu.lp[j+1]; p++ {
+				r := lu.li[p]
+				if u.sflag[r] != mark {
+					u.sflag[r] = mark
+					pat = append(pat, int32(r))
+					bits.set(int32(r))
+				}
+				x[r] -= lu.lx[p] * xj
+			}
+		}
+	}
+	return pat
+}
+
+// ltsolveSparse is the hyper-sparse L^T solve. L^T x = x is solved by
+// pulls, x[j] -= L[:,j] . x, each over the full stored column exactly as
+// sparseLU.ltsolve does; an entry can only turn nonzero through a row of
+// L holding it, so the pulls run over the set reachable from the input
+// along the L row lists, popped in descending order off the ordering
+// bitmap so that every entry a pull reads is already final.
+func (s *SparseFactor) ltsolveSparse(x []float64, pat []int32) []int32 {
+	lu, u, bits := s.lu, &s.u, s.u.bits
+	mark := u.smark
+	hi := -1
+	for _, k := range pat {
+		bits.set(k)
+		hi = max(hi, int(k>>6))
+	}
+	for w := hi; w >= 0; w-- {
+		for bits[w] != 0 {
+			t := 63 - mbits.LeadingZeros64(bits[w])
+			bits[w] &^= 1 << t
+			j := w<<6 | t
+			v := x[j]
+			for p := lu.lp[j] + 1; p < lu.lp[j+1]; p++ {
+				v -= lu.lx[p] * x[lu.li[p]]
+			}
+			x[j] = v
+			if v == 0 {
+				continue
+			}
+			for _, c := range s.lrow[s.lrowPtr[j]:s.lrowPtr[j+1]] {
+				if u.sflag[c] != mark {
+					u.sflag[c] = mark
+					pat = append(pat, c)
+					bits.set(c)
+				}
+			}
+		}
+	}
+	return pat
+}
+
+// bitset is the ordering bitmap of the hyper-sparse solves, all-zero
+// between uses. Popping set bits in ascending or descending order stands
+// in for a priority queue wherever a solve must visit entries in index or
+// order-key order and every entry it adds lies ahead of the scan.
+type bitset []uint64
+
+func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+
+// sort orders pat ascending in place (its entries must be distinct and
+// below 64*len(b)): set one bit per entry, then read the words back in
+// order, clearing them. O(len(pat) + span/64) — far cheaper than a
+// comparison sort at the pattern sizes of a hyper-sparse solve.
+func (b bitset) sort(pat []int32) {
+	if len(pat) < 2 {
+		return
+	}
+	lo, hi := len(b), 0
+	for _, i := range pat {
+		b.set(i)
+		w := int(i >> 6)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	n := 0
+	for w := lo; w <= hi; w++ {
+		word := b[w]
+		if word == 0 {
+			continue
+		}
+		b[w] = 0
+		for word != 0 {
+			pat[n] = int32(w<<6 | mbits.TrailingZeros64(word))
+			n++
+			word &= word - 1
+		}
 	}
 }
 
@@ -225,6 +489,10 @@ type ftU struct {
 	ohead   int32
 	otail   int32
 	nextKey int32
+	// keyCol inverts okey: keyCol[okey[j]] = j for every current key
+	// (entries of keys retired by an update go stale). It lets the
+	// hyper-sparse U solves pop columns in order-key order off a bitmap.
+	keyCol []int32
 
 	// rows[r] lists the columns that may hold an off-diagonal entry in row
 	// r: a superset maintained by appending on install and never compacted
@@ -239,23 +507,27 @@ type ftU struct {
 	nnz0    int // off-diagonal entry count at the last refactorization
 
 	// scratch (all length m, stamped)
-	acc    []float64 // utilde accumulator
-	aflag  []int32
-	amark  int32
-	upat   []int32
+	acc   []float64 // utilde accumulator
+	aflag []int32
+	amark int32
+	upat  []int32
 	zacc  []float64 // spike / multiplier accumulator
 	zflag []int32
 	zmark int32
 	zpat  []int32
 	zval  []float64
-	hcol  []int32 // heap of pending columns, keyed by okey
-	sflag []int32 // heap-membership stamp for the hyper-sparse solves
+	hcol  []int32 // heap of pending spike columns, keyed by okey
+	// Scratch of the hyper-sparse solves, shared by all their stages: the
+	// touched-entry stamp and the ordering bitmap, all-zero between
+	// solves, covering both factor coordinates and order keys.
+	sflag []int32
 	smark int32
+	bits  bitset
 }
 
-// utsolveSparseRatio gates the hyper-sparse BTRAN path: when fewer than
-// m/utsolveSparseRatio input entries are nonzero, the solve runs over the
-// reachable columns only (heap-ordered) instead of walking the order list.
+// utsolveSparseRatio is the density gate of both solves: while at most
+// m/utsolveSparseRatio entries are touched, a solve runs over those
+// entries only (see sparseSolve) instead of walking all m.
 const utsolveSparseRatio = 16
 
 // init converts the packed U of a fresh factorization (column k stores its
@@ -317,6 +589,13 @@ func (u *ftU) init(lu *sparseLU) {
 		u.rows[k] = u.rows[k][:0]
 	}
 	u.ohead, u.otail, u.nextKey = 0, int32(m-1), int32(m)
+	u.keyCol = u.keyCol[:0]
+	for k := 0; k < m; k++ {
+		u.keyCol = append(u.keyCol, int32(k))
+	}
+	if n := (m + 63) / 64; len(u.bits) < n {
+		u.bits = make(bitset, n)
+	}
 	if m > 0 {
 		u.onext[m-1] = -1
 	} else {
@@ -337,72 +616,10 @@ func (u *ftU) init(lu *sparseLU) {
 	u.amark, u.zmark, u.smark = 0, 0, 0
 }
 
-// usolve solves U*x = x in place, honoring the logical column order. The
-// solve is push-form — only nonzero entries propagate — and sparse inputs
-// visit exactly the nonzero entries in descending order through a
-// max-heap on the order keys instead of walking the whole order list.
-// Contributions to any entry arrive in the same descending order the list
-// walk produces, so both paths are bit-identical and the density gate
-// only ever changes speed.
-func (u *ftU) usolve(x []float64) {
-	nnz := 0
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 {
-			nnz++
-		}
-	}
-	if nnz*utsolveSparseRatio > u.m {
-		for j := u.otail; j >= 0; j = u.oprev[j] {
-			xj := x[j] / u.diag[j]
-			x[j] = xj
-			if xj == 0 {
-				continue
-			}
-			c := &u.cols[j]
-			for e, r := range c.ri {
-				x[r] -= c.rv[e] * xj
-			}
-		}
-		return
-	}
-	u.smark++
-	hp := u.hcol[:0]
-	push := func(c int32) {
-		hp = append(hp, c)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if u.okey[hp[p]] >= u.okey[hp[i]] {
-				break
-			}
-			hp[p], hp[i] = hp[i], hp[p]
-			i = p
-		}
-	}
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 {
-			u.sflag[j] = u.smark
-			push(int32(j))
-		}
-	}
-	for len(hp) > 0 {
-		j := int(hp[0])
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		for i := 0; ; {
-			l, r, best := 2*i+1, 2*i+2, i
-			if l < len(hp) && u.okey[hp[l]] > u.okey[hp[best]] {
-				best = l
-			}
-			if r < len(hp) && u.okey[hp[r]] > u.okey[hp[best]] {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			hp[best], hp[i] = hp[i], hp[best]
-			i = best
-		}
+// usolveDense solves U*x = x in place by walking the logical column order
+// backwards. The solve is push-form: only nonzero entries propagate.
+func (u *ftU) usolveDense(x []float64) {
+	for j := u.otail; j >= 0; j = u.oprev[j] {
 		xj := x[j] / u.diag[j]
 		x[j] = xj
 		if xj == 0 {
@@ -410,38 +627,60 @@ func (u *ftU) usolve(x []float64) {
 		}
 		c := &u.cols[j]
 		for e, r := range c.ri {
-			if u.sflag[r] != u.smark {
-				u.sflag[r] = u.smark
-				push(r)
-			}
 			x[r] -= c.rv[e] * xj
 		}
 	}
-	u.hcol = hp[:0]
 }
 
-// utsolve solves U^T*x = x in place, honoring the logical column order.
-// Sparse inputs (the unit-vector BTRANs of the devex machinery, the band
-// deltas of the phase-1 cost correction) take a hyper-sparse push-form
-// path over the reachable columns only; dense inputs walk the order list
-// from the first nonzero, before which every solution entry is exactly 0
-// by triangularity.
-func (u *ftU) utsolve(x []float64) {
-	nnz := 0
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 {
-			nnz++
+// usolveSparse is the hyper-sparse U solve: the touched entries pat
+// (stamped under u.smark) pop off the ordering bitmap in descending order
+// key, each pushing into its column's rows — entries whose keys are
+// smaller, still ahead of the scan. Every entry receives its
+// contributions in the same descending order the list walk of usolveDense
+// produces, so the two are bit-identical. Entries reached for the first
+// time join pat, which is returned.
+func (u *ftU) usolveSparse(x []float64, pat []int32) []int32 {
+	bits := u.bits
+	hi := -1
+	for _, j := range pat {
+		k := u.okey[j]
+		bits.set(k)
+		hi = max(hi, int(k>>6))
+	}
+	for w := hi; w >= 0; w-- {
+		for bits[w] != 0 {
+			t := 63 - mbits.LeadingZeros64(bits[w])
+			bits[w] &^= 1 << t
+			j := u.keyCol[w<<6|t]
+			xj := x[j] / u.diag[j]
+			x[j] = xj
+			if xj == 0 {
+				continue
+			}
+			c := &u.cols[j]
+			for e, r := range c.ri {
+				if u.sflag[r] != u.smark {
+					u.sflag[r] = u.smark
+					pat = append(pat, r)
+					bits.set(u.okey[r])
+				}
+				x[r] -= c.rv[e] * xj
+			}
 		}
 	}
-	if nnz*utsolveSparseRatio <= u.m {
-		u.utsolveSparse(x)
-		return
-	}
+	return pat
+}
+
+// utsolveDense solves U^T*x = x in place by pulls along the logical column
+// order, starting at the earliest-ordered nonzero of pat (the input's
+// nonzero entries): every solution entry before it is exactly 0 by
+// triangularity.
+func (u *ftU) utsolveDense(x []float64, pat []int32) {
 	start := int32(-1)
 	bestKey := int32(0)
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 && (start < 0 || u.okey[j] < bestKey) {
-			start, bestKey = int32(j), u.okey[j]
+	for _, j := range pat {
+		if start < 0 || u.okey[j] < bestKey {
+			start, bestKey = j, u.okey[j]
 		}
 	}
 	for j := start; j >= 0; j = u.onext[j] {
@@ -454,73 +693,57 @@ func (u *ftU) utsolve(x []float64) {
 	}
 }
 
-// utsolveSparse is the hyper-sparse U^T solve: seed a min-heap (on the
-// order keys) with the nonzero input entries, pop in logical order, and
-// push each finalized entry forward into the columns that hold its row
-// (the gen-validated row lists). Pops are monotone in the keys and every
-// contribution flows strictly forward, so each entry is complete when it
-// pops; columns never reached stay exactly 0 without being visited.
-func (u *ftU) utsolveSparse(x []float64) {
-	u.smark++
-	hp := u.hcol[:0]
-	push := func(c int32) {
-		hp = append(hp, c)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if u.okey[hp[p]] <= u.okey[hp[i]] {
-				break
-			}
-			hp[p], hp[i] = hp[i], hp[p]
-			i = p
-		}
+// utsolveSparse is the hyper-sparse U^T solve for inputs under the
+// density gate (the unit-vector BTRANs of the devex machinery, the band
+// deltas of the phase-1 cost correction): the touched entries pat pop off
+// the ordering bitmap in ascending order key, and each finalized entry is
+// pushed forward into the columns that hold its row (the gen-validated
+// row lists), whose keys are larger. Pops are monotone in the keys and
+// every contribution flows strictly forward, so each entry is complete
+// when it pops; columns never reached stay exactly 0 without being
+// visited. The push sums in a different order than the pulls of
+// utsolveDense, so callers must choose between the two by the input's
+// nonzero count alone.
+func (u *ftU) utsolveSparse(x []float64, pat []int32) []int32 {
+	bits := u.bits
+	lo := len(bits)
+	for _, j := range pat {
+		k := u.okey[j]
+		bits.set(k)
+		lo = min(lo, int(k>>6))
 	}
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 {
-			u.sflag[j] = u.smark
-			push(int32(j))
-		}
-	}
-	for len(hp) > 0 {
-		j := int(hp[0])
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		for i := 0; ; {
-			l, r, best := 2*i+1, 2*i+2, i
-			if l < len(hp) && u.okey[hp[l]] < u.okey[hp[best]] {
-				best = l
-			}
-			if r < len(hp) && u.okey[hp[r]] < u.okey[hp[best]] {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			hp[best], hp[i] = hp[i], hp[best]
-			i = best
-		}
-		xj := x[j] / u.diag[j]
-		x[j] = xj
-		if xj == 0 {
-			continue
-		}
-		for _, en := range u.rows[j] {
-			c := int(en.col)
-			if en.gen != u.cols[c].gen {
+	end := (int(u.nextKey) + 63) / 64
+	for w := lo; w < end; w++ {
+		for bits[w] != 0 {
+			t := mbits.TrailingZeros64(bits[w])
+			bits[w] &^= 1 << t
+			j := int(u.keyCol[w<<6|t])
+			xj := x[j] / u.diag[j]
+			x[j] = xj
+			if xj == 0 {
 				continue
 			}
-			if u.sflag[c] != u.smark {
-				u.sflag[c] = u.smark
-				push(en.col)
+			for _, en := range u.rows[j] {
+				c := int(en.col)
+				if en.gen != u.cols[c].gen {
+					continue
+				}
+				if u.sflag[c] != u.smark {
+					u.sflag[c] = u.smark
+					pat = append(pat, en.col)
+					bits.set(u.okey[c])
+				}
+				x[c] -= en.val * xj
 			}
-			x[c] -= en.val * xj
 		}
 	}
-	u.hcol = hp[:0]
+	return pat
 }
 
-// applyEtasFtran applies the row etas in recording order: x[t] -= z . x.
-func (u *ftU) applyEtasFtran(x []float64) {
+// applyEtasFtran applies the row etas in recording order, x[t] -= z . x,
+// adding each row t it changes to the touched set pat (stamped under
+// u.smark).
+func (u *ftU) applyEtasFtran(x []float64, pat []int32) []int32 {
 	for k := range u.etas {
 		e := &u.etas[k]
 		s := 0.0
@@ -528,12 +751,18 @@ func (u *ftU) applyEtasFtran(x []float64) {
 			s += e.val[i] * x[r]
 		}
 		x[e.t] -= s
+		if t := int32(e.t); s != 0 && u.sflag[t] != u.smark {
+			u.sflag[t] = u.smark
+			pat = append(pat, t)
+		}
 	}
+	return pat
 }
 
-// applyEtasBtran applies the transposed row etas in reverse order:
-// x[r] -= z_r * x[t] for every multiplier row r.
-func (u *ftU) applyEtasBtran(x []float64) {
+// applyEtasBtran applies the transposed row etas in reverse order,
+// x[r] -= z_r * x[t] for every multiplier row r, adding each row it
+// reaches to the touched set pat (stamped under u.smark).
+func (u *ftU) applyEtasBtran(x []float64, pat []int32) []int32 {
 	for k := len(u.etas) - 1; k >= 0; k-- {
 		e := &u.etas[k]
 		xt := x[e.t]
@@ -541,9 +770,14 @@ func (u *ftU) applyEtasBtran(x []float64) {
 			continue
 		}
 		for i, r := range e.idx {
+			if u.sflag[r] != u.smark {
+				u.sflag[r] = u.smark
+				pat = append(pat, r)
+			}
 			x[r] -= e.val[i] * xt
 		}
 	}
+	return pat
 }
 
 // update absorbs one basis change: factor column t is replaced by the
@@ -747,7 +981,11 @@ func (u *ftU) update(t int, pat []int32, val []float64, wpos, pivTol float64) er
 		u.otail = t32
 	}
 	u.okey[t] = u.nextKey
+	u.keyCol = append(u.keyCol, t32)
 	u.nextKey++
+	if int(u.nextKey) > 64*len(u.bits) {
+		u.bits = append(u.bits, 0)
+	}
 
 	u.updates++
 	return nil

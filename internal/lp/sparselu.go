@@ -172,6 +172,9 @@ func luFactor(a *CSC, cols []int, pivTol float64, repair bool) (*sparseLU, []bas
 	for p := range f.li {
 		f.li[p] = f.pinv[f.li[p]]
 	}
+	// The elimination scratch is dead once the factors are final; drop it
+	// rather than keep it reachable for the factorization's lifetime.
+	f.x, f.xi, f.stack, f.pstk, f.flags = nil, nil, nil, nil, nil
 	return f, swaps, nil
 }
 

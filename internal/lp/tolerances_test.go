@@ -90,7 +90,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 					b[r] += rv[k] * x0[c]
 				}
 			}
-			sp.Ftran(b)
+			ftranDense(sp, b)
 			for i := range b {
 				if math.Abs(b[i]-x0[i]) > 1e-6 {
 					t.Fatalf("seed %d rep %d: Ftran drift at %d: got %g want %g", seed, rep, i, b[i], x0[i])
@@ -103,7 +103,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 					cv[c] += rv[k] * x0[r]
 				}
 			}
-			sp.Btran(cv)
+			btranDense(sp, cv)
 			for i := range cv {
 				if math.Abs(cv[i]-x0[i]) > 1e-6 {
 					t.Fatalf("seed %d rep %d: Btran drift at %d: got %g want %g", seed, rep, i, cv[i], x0[i])
@@ -128,8 +128,8 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 			}
 			wd := make([]float64, m)
 			copy(wd, w)
-			sp.Ftran(w)
-			dn.Ftran(wd)
+			ftranDense(sp, w)
+			ftranDense(dn, wd)
 			for i := range w {
 				if math.Abs(w[i]-wd[i]) > 1e-6 {
 					t.Fatalf("seed %d rep %d: backends disagree on FTRAN image at %d: sparse %g dense %g", seed, rep, i, w[i], wd[i])
@@ -144,7 +144,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 				scratch[i] = 0
 			}
 			scratch[pos] = 1
-			sp.Btran(scratch)
+			btranDense(sp, scratch)
 			if _, err := sp.Update(w, pos); err != nil {
 				t.Fatalf("seed %d rep %d: sparse update: %v", seed, rep, err)
 			}
